@@ -348,8 +348,8 @@ func BenchmarkDeltaEval(b *testing.B) {
 // (almost) every subgraph lookup is a miss and pays the full computeSubgraph
 // + tiling derivation. This is the workload that dominates real searches now
 // that the warm path (handles + delta re-scoring) is cheap. Reports evals/s
-// (partition evaluations per second) and allocs/op; cmd/benchreport runs the
-// same workload and records the numbers in BENCH_coldpath.json.
+// (partition evaluations per second) and allocs/op; EXPERIMENTS.md records
+// the numbers against the pre-overhaul baseline.
 func BenchmarkColdEval(b *testing.B) {
 	const nparts = 8
 	mem := hw.MemConfig{Kind: hw.SeparateBuffer, GlobalBytes: 1024 * hw.KiB, WeightBytes: 1152 * hw.KiB}
@@ -378,8 +378,8 @@ func BenchmarkColdEval(b *testing.B) {
 // model zoo: a fixed cycle of modify-node / split-subgraph / merge-subgraph /
 // crossover draws against a pool of seeded random partitions, results
 // discarded — pure operator cost (scratch workspace + in-place repair), no
-// evaluation. cmd/benchreport runs the same workload and records it in
-// BENCH_searchpath.json against the pre-overhaul baseline.
+// evaluation. EXPERIMENTS.md records the numbers against the pre-overhaul
+// baseline.
 func BenchmarkMutationOps(b *testing.B) {
 	for _, model := range models.Names() {
 		b.Run(model, func(b *testing.B) {

@@ -69,7 +69,6 @@ func main() {
 		cacheSave  = flag.String("cache-save", "", "write the cost cache to this path after the search, for future -cache-load runs")
 
 		distWorkers   = flag.String("dist-workers", "", "comma-separated coccow addresses; run the island ring across these worker processes (bit-identical to the same flags in-process)")
-		distAsync     = flag.Bool("dist-async", false, "with -dist-workers: eventual migration without round barriers (faster coordination, non-deterministic, no checkpoints)")
 		distIOTimeout = flag.Duration("dist-io-timeout", 3*time.Minute, "with -dist-workers: per-frame I/O deadline on worker connections; must exceed the slowest worker's MigrateEvery-round step (0 = no deadline)")
 	)
 	flag.Parse()
@@ -176,7 +175,7 @@ func main() {
 		stats *search.Stats
 	)
 	if *distWorkers != "" {
-		dopt := dist.Options{Search: sopt, Async: *distAsync, IOTimeout: *distIOTimeout}
+		dopt := dist.Options{Search: sopt, IOTimeout: *distIOTimeout}
 		for _, a := range strings.Split(*distWorkers, ",") {
 			if a = strings.TrimSpace(a); a != "" {
 				dopt.Workers = append(dopt.Workers, a)
@@ -184,9 +183,6 @@ func main() {
 		}
 		best, stats, err = dist.RunOrResume(ev, dopt, *resume)
 	} else {
-		if *distAsync {
-			log.Fatal("-dist-async requires -dist-workers")
-		}
 		best, stats, err = search.RunOrResume(ev, sopt, *resume)
 	}
 	if err != nil {

@@ -318,8 +318,8 @@ type AblationIslandRow struct {
 // sample budget spent by 1, 2, and 4 migrating GA islands. Splitting a
 // fixed budget shows what migration buys (or costs) in solution quality;
 // the throughput column shows the scaling the orchestrator adds on
-// multi-core hosts (cmd/benchreport records the per-island-budget scaling
-// separately). The islands=1 row doubles as the determinism cross-check
+// multi-core hosts (BenchmarkSearchOrchestrator measures the
+// per-island-budget scaling separately). The islands=1 row doubles as the determinism cross-check
 // against the plain GA.
 func AblationIslands(cfg Config) ([]AblationIslandRow, string) {
 	modelsUnderTest := []string{"resnet50", "googlenet"}

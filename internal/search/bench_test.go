@@ -27,8 +27,7 @@ import (
 // The ≥2× floor at 4 islands is asserted only when the host actually has
 // ≥4 CPUs (like the race-gated alloc pins, hardware-dependent floors are
 // not asserted where the hardware cannot express them); the measured
-// ratios are always reported, and cmd/benchreport records them in
-// BENCH_searchorch.json.
+// ratios are always reported.
 func BenchmarkSearchOrchestrator(b *testing.B) {
 	const perIslandSamples = 1000
 	type key struct {

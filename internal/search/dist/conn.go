@@ -16,10 +16,9 @@ type frameWriter interface {
 }
 
 // wire wraps one connection with buffered reads, mutex-serialized writes,
-// and optional per-frame I/O deadlines. The mutex matters in async mode,
-// where commit frames for a worker are forwarded by other workers' driver
-// goroutines and must not interleave bytes with that worker's own request
-// stream.
+// and optional per-frame I/O deadlines. The write mutex keeps one frame's
+// bytes from interleaving with another's should two goroutines ever write
+// to the same connection.
 //
 // The deadline matters for liveness: without one, a hung or half-open peer
 // socket blocks a frame read (or a write into a full kernel buffer)
@@ -41,7 +40,7 @@ func newWire(c net.Conn, timeout time.Duration) *wire {
 
 // wrapTimeout makes deadline expiry actionable: the raw error is a bare
 // "i/o timeout" with no hint of which side gave up or after how long. The
-// caller (coordinator each/eachIndexed, worker session log) prefixes the
+// caller (coordinator eachIndexed, worker session log) prefixes the
 // peer address.
 func (w *wire) wrapTimeout(op string, err error) error {
 	var ne net.Error

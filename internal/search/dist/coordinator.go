@@ -24,11 +24,6 @@ type Options struct {
 	// contiguous slices across them in order: the first ring%K workers host
 	// one extra island.
 	Workers []string
-	// Async drops the migration barrier: each worker's emigrants are
-	// forwarded to their ring successors as soon as that worker reports
-	// them, while other workers may still be stepping. Lower coordination
-	// latency, non-deterministic results; checkpoints are unsupported.
-	Async bool
 	// DialTimeout bounds each worker connection attempt (default 10s).
 	DialTimeout time.Duration
 	// IOTimeout, when positive, sets a deadline on every frame read and
@@ -68,7 +63,6 @@ func splitRing(ring, k int) [][2]int {
 
 type coordinator struct {
 	ev    *eval.Evaluator
-	opt   Options
 	sopt  search.Options // normalized
 	ring  int
 	peers []*peer
@@ -86,7 +80,7 @@ type coordinator struct {
 
 // Run executes a distributed search from scratch. With the same
 // search.Options, any worker partitioning is bit-identical to the
-// single-process search.Run (async mode excepted).
+// single-process search.Run.
 func Run(ev *eval.Evaluator, opt Options) (*core.Genome, *search.Stats, error) {
 	return run(ev, opt, nil)
 }
@@ -134,14 +128,8 @@ func run(ev *eval.Evaluator, opt Options, cp *serialize.CheckpointJSON) (*core.G
 	if err != nil {
 		return nil, nil, err
 	}
-	if opt.Async {
-		if err := c.roundsAsync(); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		if err := c.roundsSync(); err != nil {
-			return nil, nil, err
-		}
+	if err := c.roundsSync(); err != nil {
+		return nil, nil, err
 	}
 	return c.finish()
 }
@@ -166,10 +154,7 @@ func newCoordinator(ev *eval.Evaluator, opt Options, cp *serialize.CheckpointJSO
 	if sopt.MaxRounds > 0 && sopt.Checkpoint == "" {
 		return nil, errors.New("dist: MaxRounds requires a Checkpoint path to resume from")
 	}
-	if opt.Async && (sopt.Checkpoint != "" || cp != nil) {
-		return nil, errors.New("dist: async mode is non-deterministic and does not support checkpoints; drop -dist-async or the checkpoint")
-	}
-	c := &coordinator{ev: ev, opt: opt, sopt: sopt, ring: ring}
+	c := &coordinator{ev: ev, sopt: sopt, ring: ring}
 	if cp != nil {
 		c.rounds = cp.Round
 		c.migrations = cp.Migrations
@@ -193,7 +178,7 @@ func newCoordinator(ev *eval.Evaluator, opt Options, cp *serialize.CheckpointJSO
 	hello := helloMsg{Proto: ProtocolVersion, Fingerprint: evFingerprint(ev)}
 	wireOpt := encodeOptions(sopt)
 	config := search.Fingerprint(sopt)
-	err := c.each(func(p *peer) error {
+	err := c.eachIndexed(func(_ int, p *peer) error {
 		var ack helloMsg
 		if err := p.w.request(MsgHello, hello, MsgHelloAck, &ack); err != nil {
 			return err
@@ -232,16 +217,16 @@ func (c *coordinator) close() {
 	})
 }
 
-// each runs fn once per connected peer, concurrently, and joins errors
-// annotated with the worker address.
-func (c *coordinator) each(fn func(p *peer) error) error {
+// eachIndexed runs fn once per connected peer, concurrently, with the
+// peer's index, and joins errors annotated with the worker address.
+func (c *coordinator) eachIndexed(fn func(i int, p *peer) error) error {
 	errs := make([]error, len(c.peers))
 	var wg sync.WaitGroup
 	for i, p := range c.peers {
 		wg.Add(1)
 		go func(i int, p *peer) {
 			defer wg.Done()
-			if err := fn(p); err != nil {
+			if err := fn(i, p); err != nil {
 				errs[i] = fmt.Errorf("dist: worker %s: %w", p.addr, err)
 			}
 		}(i, p)
@@ -307,23 +292,6 @@ func (c *coordinator) roundsSync() error {
 	}
 }
 
-// eachIndexed is each with the peer's index exposed.
-func (c *coordinator) eachIndexed(fn func(i int, p *peer) error) error {
-	errs := make([]error, len(c.peers))
-	var wg sync.WaitGroup
-	for i, p := range c.peers {
-		wg.Add(1)
-		go func(i int, p *peer) {
-			defer wg.Done()
-			if err := fn(i, p); err != nil {
-				errs[i] = fmt.Errorf("dist: worker %s: %w", p.addr, err)
-			}
-		}(i, p)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
 // allDone reports whether every island across every worker is exhausted.
 // Exhaustion is unaffected by migration (immigrants consume no samples), so
 // the pre-barrier flags are valid post-barrier too.
@@ -376,7 +344,7 @@ func (c *coordinator) migrate() error {
 		c.sent[i] += len(out[i])
 		c.recv[dest] += len(out[i])
 	}
-	if err := c.each(func(p *peer) error {
+	if err := c.eachIndexed(func(_ int, p *peer) error {
 		m := commits[p]
 		if m == nil {
 			return nil
@@ -422,65 +390,6 @@ func (c *coordinator) save(path string) error {
 		return fmt.Errorf("dist: checkpoint: %w", err)
 	}
 	return nil
-}
-
-// roundsAsync drops the barrier: one driver goroutine per worker steps it
-// and forwards its emigrants to ring successors the moment they arrive,
-// while other workers are mid-step. Immigrants land whenever the
-// destination worker next drains its connection — "eventual migration".
-// Arrival order depends on scheduling, so results are not reproducible;
-// this is the throughput mode, benchmarked against the deterministic one.
-func (c *coordinator) roundsAsync() error {
-	var mu sync.Mutex // rounds/migrations/sent/recv
-	if c.ring > 1 {
-		c.sent = make([]int, c.ring)
-		c.recv = make([]int, c.ring)
-	}
-	err := c.each(func(p *peer) error {
-		localRounds := 0
-		for {
-			var st steppedMsg
-			if err := p.w.request(MsgStep, struct{}{}, MsgStepped, &st); err != nil {
-				return err
-			}
-			any := false
-			for _, b := range st.Progressed {
-				any = any || b
-			}
-			if !any {
-				mu.Lock()
-				if localRounds > c.rounds {
-					c.rounds = localRounds
-				}
-				mu.Unlock()
-				return nil
-			}
-			localRounds++
-			if c.ring == 1 {
-				continue
-			}
-			var em emigrantsMsg
-			if err := p.w.request(MsgEmigrantsReq, struct{}{}, MsgEmigrants, &em); err != nil {
-				return err
-			}
-			for j, gs := range em.Out {
-				src := p.lo + j
-				dest := (src + 1) % c.ring
-				dp := c.ownerOf(dest)
-				if err := writeMsg(dp.w, MsgCommit, commitMsg{Islands: []commitIsland{{Island: dest, Genomes: gs}}}); err != nil {
-					return err
-				}
-				mu.Lock()
-				c.sent[src] += len(gs)
-				c.recv[dest] += len(gs)
-				mu.Unlock()
-			}
-			mu.Lock()
-			c.migrations++
-			mu.Unlock()
-		}
-	})
-	return err
 }
 
 // finish aggregates per-worker results with the orchestrator's exact rules:

@@ -241,23 +241,6 @@ func TestDistResumesSingleProcessCheckpoint(t *testing.T) {
 	sameStats(t, "fleet-resumed", wantStats, gotStats)
 }
 
-// TestDistAsyncSmoke: async mode finds a feasible genome; no determinism
-// claim — that is exactly what async gives up.
-func TestDistAsyncSmoke(t *testing.T) {
-	model := "mobilenetv2"
-	best, st, err := Run(evaluatorFor(t, model), Options{
-		Search:  testOptions(),
-		Workers: startWorkers(t, model, 2),
-		Async:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best == nil || st.Samples == 0 || st.Rounds == 0 {
-		t.Fatalf("async run produced no work: best=%v stats=%+v", best != nil, st)
-	}
-}
-
 func TestDistOptionValidation(t *testing.T) {
 	ev := evaluatorFor(t, "mobilenetv2")
 	base := testOptions() // ring = 3
@@ -272,11 +255,6 @@ func TestDistOptionValidation(t *testing.T) {
 			Search:  func() search.Options { o := base; o.MaxRounds = 1; return o }(),
 			Workers: []string{"a"},
 		}, "MaxRounds requires a Checkpoint"},
-		{"async checkpoint", Options{
-			Search:  func() search.Options { o := base; o.Checkpoint = "x.ckpt"; return o }(),
-			Workers: []string{"a"},
-			Async:   true,
-		}, "async mode is non-deterministic"},
 	}
 	for _, tc := range cases {
 		if _, _, err := Run(ev, tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -303,8 +281,9 @@ func TestSplitRing(t *testing.T) {
 }
 
 // TestDistWorkerProcess is not a test: it is the worker main for the
-// kill-and-resume fault-injection test, entered when the test binary is
-// re-executed with COCCO_DIST_TEST_WORKER set. It serves until killed.
+// kill-and-resume fault-injection test and BenchmarkDistFleet, entered when
+// the test binary is re-executed with COCCO_DIST_TEST_WORKER set. It serves
+// until killed.
 func TestDistWorkerProcess(t *testing.T) {
 	if os.Getenv("COCCO_DIST_TEST_WORKER") == "" {
 		t.Skip("worker-process helper; set COCCO_DIST_TEST_WORKER to run")
@@ -327,9 +306,9 @@ func TestDistWorkerProcess(t *testing.T) {
 	}
 }
 
-// spawnWorkerProc re-executes this test binary as a real worker process and
-// returns its published address.
-func spawnWorkerProc(t *testing.T, model, dir string, i int) (string, *exec.Cmd) {
+// spawnWorkerProc re-executes this test binary as a real worker process,
+// pinned to one CPU, and returns its published address.
+func spawnWorkerProc(t testing.TB, model, dir string, i int) (string, *exec.Cmd) {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -341,6 +320,7 @@ func spawnWorkerProc(t *testing.T, model, dir string, i int) (string, *exec.Cmd)
 		"COCCO_DIST_TEST_WORKER=1",
 		"COCCO_DIST_TEST_MODEL="+model,
 		"COCCO_DIST_TEST_ADDRFILE="+addrFile,
+		"GOMAXPROCS=1",
 	)
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr

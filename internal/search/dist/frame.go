@@ -12,9 +12,7 @@
 // (each island draws only from its own StreamMigration RNG), the barrier
 // ordering is the only cross-process invariant needed, and Run with any
 // worker partitioning is bit-identical to search.Run with the same Options:
-// same best genome, same Stats, byte-identical checkpoints. The async mode
-// (Options.Async) gives the barrier up for lower coordination latency and is
-// correspondingly non-deterministic.
+// same best genome, same Stats, byte-identical checkpoints.
 package dist
 
 import (
