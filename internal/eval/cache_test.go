@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"bytes"
 	"strconv"
 	"sync"
 	"testing"
@@ -11,12 +12,12 @@ import (
 func TestMemberKeyDistinct(t *testing.T) {
 	// Ids that collided under the old 3-byte packing (differ only above
 	// bit 23) must map to distinct keys now.
-	a := partition.MemberKey([]int{1 << 24})
-	b := partition.MemberKey([]int{0})
-	if a == b {
+	a := partition.AppendMemberKey(nil, []int{1 << 24})
+	b := partition.AppendMemberKey(nil, []int{0})
+	if bytes.Equal(a, b) {
 		t.Error("keys collide across the 2^24 boundary")
 	}
-	if partition.MemberKey([]int{1, 2}) == partition.MemberKey([]int{1, 3}) {
+	if bytes.Equal(partition.AppendMemberKey(nil, []int{1, 2}), partition.AppendMemberKey(nil, []int{1, 3})) {
 		t.Error("distinct member sets share a key")
 	}
 }
@@ -28,7 +29,7 @@ func TestMemberKeyGuard(t *testing.T) {
 				t.Errorf("%s: memberKey did not panic", name)
 			}
 		}()
-		partition.MemberKey(ids)
+		partition.AppendMemberKey(nil, ids)
 	}
 	mustPanic("negative id", []int{-1})
 	if strconv.IntSize == 64 {

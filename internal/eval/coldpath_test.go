@@ -29,7 +29,8 @@ func windows(g *graph.Graph) [][]int {
 // evaluation (distinct member set, full computeSubgraph + tiling derivation
 // + cache insert) performs at most a small constant number of allocations
 // once the scratch pools are warm. The budget covers the SubgraphCost, its
-// owned member slice, the interned key string, and amortized cache growth.
+// owned member slice, and amortized cache growth (slot table, entry array and
+// key arena).
 func TestColdPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector disables sync.Pool reuse; alloc pins are meaningless")

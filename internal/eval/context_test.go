@@ -189,8 +189,9 @@ func TestSharedCacheCrossConfigEquivalenceZoo(t *testing.T) {
 	}
 }
 
-// TestSharedCacheDeltaHandlesAcrossSiblings pins the costHandle re-keying:
-// a partition whose handles were filled by one evaluator keeps them warm
+// TestSharedCacheDeltaHandlesAcrossSiblings pins the handle ownership rule
+// (a cost is reused only by evaluators of the cache that holds it): a
+// partition whose handles were filled by one evaluator keeps them warm
 // when a same-geometry sibling evaluates it (same shared cache), while a
 // different-geometry evaluator treats them as dirty and recomputes — costs
 // never cross geometries through a migrating partition.

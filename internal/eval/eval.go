@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -79,6 +80,14 @@ type SubgraphCost struct {
 	// Err is non-nil if the tiling derivation failed; such a subgraph is
 	// never feasible.
 	Err error
+
+	// cache is the cost cache holding this entry. The cost doubles as the
+	// per-subgraph handle PartitionDelta carries on partitions, and it is
+	// reused only by evaluators of the same cache: raw costs depend on
+	// (graph, tiling config, core geometry), so a handle from another cache
+	// (e.g. an Options.Init seed searched on different hardware) is treated
+	// as dirty and costs never cross geometries.
+	cache *costCache
 }
 
 // EMABytes is the subgraph's external traffic for one sample.
@@ -119,30 +128,7 @@ type cacheShard struct {
 }
 
 // lookup returns the cost stored under (h, key), or nil. Caller holds mu.
-func (s *cacheShard) lookup(h uint64, key string) *SubgraphCost {
-	if len(s.slots) == 0 {
-		return nil
-	}
-	mask := uint64(len(s.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		ei := s.slots[i]
-		if ei == 0 {
-			return nil
-		}
-		e := &s.entries[ei-1]
-		// string([]byte) == string compiles to an allocation-free compare.
-		if e.hash == h && e.klen == uint32(len(key)) &&
-			string(s.arena[e.off:e.off+e.klen]) == key {
-			return e.c
-		}
-	}
-}
-
-// lookupBytes is lookup for a key held in a scratch byte buffer, so warm
-// Subgraph calls never materialize a key string. Kept as a hand-expanded
-// twin of lookup (methods cannot take the ~string|~[]byte type parameter
-// that would merge them); any probe-loop change must land in both.
-func (s *cacheShard) lookupBytes(h uint64, key []byte) *SubgraphCost {
+func (s *cacheShard) lookup(h uint64, key []byte) *SubgraphCost {
 	if len(s.slots) == 0 {
 		return nil
 	}
@@ -163,8 +149,8 @@ func (s *cacheShard) lookupBytes(h uint64, key []byte) *SubgraphCost {
 // guardArena panics if appending klen key bytes to a shard arena already
 // holding arenaLen bytes would push the new entry's offset+length past the
 // uint32 range cacheEntry stores. Without the guard the uint32 conversions
-// in insert/insertBytes silently truncate once a shard's arena crosses
-// 4 GiB, corrupting every later entry's key window.
+// in insert silently truncate once a shard's arena crosses 4 GiB, corrupting
+// every later entry's key window.
 func guardArena(arenaLen, klen int) {
 	if int64(arenaLen)+int64(klen) > math.MaxUint32 {
 		panic(fmt.Sprintf("eval: cost-cache shard arena would grow to %d bytes, past the 4 GiB uint32 offset range", int64(arenaLen)+int64(klen)))
@@ -180,17 +166,9 @@ func guardEntries(n int) {
 	}
 }
 
-// insert stores c under (h, key), which must not be present. Caller holds mu.
-func (s *cacheShard) insert(h uint64, key string, c *SubgraphCost) {
-	guardArena(len(s.arena), len(key))
-	off := len(s.arena)
-	s.arena = append(s.arena, key...)
-	s.place(h, uint32(off), uint32(len(key)), c)
-}
-
-// insertBytes is insert for a key held in a scratch buffer — the bytes go
-// straight into the arena, so the cold path never materializes a key string.
-func (s *cacheShard) insertBytes(h uint64, key []byte, c *SubgraphCost) {
+// insert stores c under (h, key), which must not be present; the key bytes
+// are copied into the arena. Caller holds mu.
+func (s *cacheShard) insert(h uint64, key []byte, c *SubgraphCost) {
 	guardArena(len(s.arena), len(key))
 	off := len(s.arena)
 	s.arena = append(s.arena, key...)
@@ -300,13 +278,16 @@ type Evaluator struct {
 	deltaReuse atomic.Int64
 }
 
-// evalScratch is the reusable per-goroutine state of one cold evaluation.
+// evalScratch is the reusable per-goroutine state of one cold evaluation
+// and of PartitionDelta's dirty-subgraph gather.
 type evalScratch struct {
 	inSet   *graph.Marks    // subgraph membership
 	seenExt *graph.Marks    // external producers already charged
 	der     *tiling.Deriver // nil when the tiling config is invalid
-	members []int           // sorted-members / member-key decode buffer
+	members []int           // sorted members / dirty-member CSR
 	keyBuf  []byte          // member-key build buffer
+	off     []int           // dirty-member CSR offsets
+	costs   []*SubgraphCost // PartitionDelta's per-subgraph costs
 }
 
 // EnablePrefetchCheck makes feasibility account for the weight prefetch of
@@ -375,14 +356,11 @@ func (e *Evaluator) CacheEntries() int64 { return e.cache.entries() }
 // hashKey is 64-bit FNV-1a over the canonical member key — computed once per
 // lookup; the top bits pick the shard and the full hash drives the
 // open-addressed probe, so neither the shard choice nor the table walks the
-// key again (only a final confirming compare on a hash match does). Generic
-// over ~string | ~[]byte so the interned-key and scratch-buffer paths share
-// one body (unlike lookup/lookupBytes, which stay hand-expanded twins:
-// methods cannot take this type parameter).
-func hashKey[K ~string | ~[]byte](key K) uint64 {
+// key again (only a final confirming compare on a hash match does).
+func hashKey(key []byte) uint64 {
 	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
+	for _, b := range key {
+		h ^= uint64(b)
 		h *= 1099511628211
 	}
 	return h
@@ -395,65 +373,39 @@ func (e *Evaluator) Subgraph(members []int) *SubgraphCost {
 	sc := e.scratch.Get().(*evalScratch)
 	sc.members = append(sc.members[:0], members...)
 	sort.Ints(sc.members)
-	sc.keyBuf = partition.AppendMemberKey(sc.keyBuf[:0], sc.members)
-
-	h := hashKey(sc.keyBuf)
-	s := &e.cache.shards[h>>(64-shardBits)]
-	e.calls.Add(1)
-	s.mu.Lock()
-	if c := s.lookupBytes(h, sc.keyBuf); c != nil {
-		s.mu.Unlock()
-		e.scratch.Put(sc)
-		e.hits.Add(1)
-		return c
-	}
-	s.mu.Unlock()
-
-	c := e.computeSubgraph(sc, sc.members)
-
-	s.mu.Lock()
-	if first := s.lookupBytes(h, sc.keyBuf); first != nil {
-		s.mu.Unlock()
-		e.scratch.Put(sc)
-		return first
-	}
-	s.insertBytes(h, sc.keyBuf, c)
-	s.mu.Unlock()
+	c := e.lookupOrCompute(sc, sc.members)
 	e.scratch.Put(sc)
 	return c
 }
 
-// subgraphByKey looks the cost up by its canonical member key, computing and
-// inserting it on a miss. Two goroutines (or two sibling evaluators sharing
-// the cache) missing on the same cold key may both compute it; the insert
-// re-checks under the write lock and keeps the FIRST inserted *SubgraphCost,
-// discarding the duplicate, so the pointer identity that delta handles (and
-// entry stability) rely on holds even under a cold-miss race.
-func (e *Evaluator) subgraphByKey(key string) *SubgraphCost {
-	h := hashKey(key)
+// lookupOrCompute returns the cached cost of the subgraph with the given
+// ascending members, computing and inserting it on a miss; the key is built
+// in sc.keyBuf. Two goroutines (or two sibling evaluators sharing the cache)
+// missing on the same cold key may both compute it; the insert re-checks
+// under the lock and keeps the FIRST inserted *SubgraphCost, discarding the
+// duplicate, so the pointer identity that delta handles (and entry
+// stability) rely on holds even under a cold-miss race.
+func (e *Evaluator) lookupOrCompute(sc *evalScratch, members []int) *SubgraphCost {
+	sc.keyBuf = partition.AppendMemberKey(sc.keyBuf[:0], members)
+	h := hashKey(sc.keyBuf)
 	s := &e.cache.shards[h>>(64-shardBits)]
-
 	e.calls.Add(1)
 	s.mu.Lock()
-	if c := s.lookup(h, key); c != nil {
+	if c := s.lookup(h, sc.keyBuf); c != nil {
 		s.mu.Unlock()
 		e.hits.Add(1)
 		return c
 	}
 	s.mu.Unlock()
 
-	sc := e.scratch.Get().(*evalScratch)
-	sc.members = partition.AppendKeyMembers(sc.members[:0], key)
-	c := e.computeSubgraph(sc, sc.members)
-	e.scratch.Put(sc)
+	c := e.computeSubgraph(sc, members)
 
 	s.mu.Lock()
-	if first := s.lookup(h, key); first != nil {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if first := s.lookup(h, sc.keyBuf); first != nil {
 		return first
 	}
-	s.insert(h, key, c)
-	s.mu.Unlock()
+	s.insert(h, sc.keyBuf, c)
 	return c
 }
 
@@ -463,7 +415,7 @@ func (e *Evaluator) subgraphByKey(key string) *SubgraphCost {
 // scratch Deriver — the only allocations are the returned SubgraphCost and
 // its owned member slice. members is borrowed (scratch); it is copied.
 func (e *Evaluator) computeSubgraph(sc *evalScratch, members []int) *SubgraphCost {
-	c := &SubgraphCost{Members: append([]int(nil), members...)}
+	c := &SubgraphCost{Members: append([]int(nil), members...), cache: e.cache}
 
 	gc := e.ctx
 	if gc.tcfgErr != nil {
@@ -661,39 +613,74 @@ func (e *Evaluator) Partition(p *partition.Partition, mem hw.MemConfig) *Result 
 // per-subgraph cost handles carried on the partition itself: subgraphs whose
 // handle survived the producing operator (TryModifyNode/TrySplit/TryMerge
 // carry handles for every untouched subgraph) cost one pointer load, and only
-// the dirty ones re-enter the cost cache — via the subgraph's interned member
-// key, so even those skip the per-lookup copy/sort/string build. Partitions
-// with no carried state (fresh, crossover-built, or deserialized) fall back
-// to a full recompute that fills every handle.
+// the dirty ones re-enter the cost cache. Their members are gathered in one
+// counting pass over the assignment into pooled scratch, so a warm
+// evaluation allocates nothing but the Result, plus the handle slice on a
+// partition with no carried state (fresh, crossover-built, or deserialized).
 //
 // The result is bit-identical to Partition: both paths feed the same
 // contributions through partitionEval in the same subgraph order, and a
 // handle is only ever carried when the member set is provably unchanged.
-// Handle fills mutate p's caches, so the caller must own p (single writer).
+// Handle fills mutate p's handle slice, so the caller must own p (single
+// writer).
 func (e *Evaluator) PartitionDelta(p *partition.Partition, mem hw.MemConfig) *Result {
-	return e.partitionEval(p.NumSubgraphs(), mem, func(si int) *SubgraphCost {
-		if h, ok := p.CostHandle(si).(costHandle); ok && h.cache == e.cache {
-			e.deltaReuse.Add(1)
-			return h.c
+	nsub := p.NumSubgraphs()
+	sc := e.scratch.Get().(*evalScratch)
+	costs := sc.costs[:0]
+	dirty := 0
+	for si := 0; si < nsub; si++ {
+		c, _ := p.CostHandle(si).(*SubgraphCost)
+		if c == nil || c.cache != e.cache {
+			c = nil
+			dirty++
 		}
-		c := e.subgraphByKey(p.SubgraphKey(si))
-		p.SetCostHandle(si, costHandle{cache: e.cache, c: c})
-		return c
-	})
+		costs = append(costs, c)
+	}
+	sc.costs = costs
+	e.deltaReuse.Add(int64(nsub - dirty))
+	if dirty > 0 {
+		e.fillDirty(sc, p)
+	}
+	res := e.partitionEval(nsub, mem, func(si int) *SubgraphCost { return costs[si] })
+	e.scratch.Put(sc)
+	return res
 }
 
-// costHandle is the opaque per-subgraph cache entry PartitionDelta stores on
-// partitions. It records the owning SHARED cost cache, not the evaluator:
-// raw subgraph costs depend only on (graph, tiling config, core geometry),
-// so a handle filled by one evaluator stays valid for every sibling sharing
-// its cache — a partition migrating between same-geometry DSE configs keeps
-// its handles warm. A handle from a different cache (another graph, tiling
-// config, or core geometry — e.g. an Options.Init seed from a search on
-// different hardware) must not be reused: it is treated as dirty and
-// recomputed here, so costs never cross geometries.
-type costHandle struct {
-	cache *costCache
-	c     *SubgraphCost
+// fillDirty costs every subgraph whose sc.costs slot is nil and stores the
+// cost as that subgraph's handle. The dirty subgraphs' members are
+// counting-sorted into sc.members (a count pass and a place pass over the
+// assignment; ascending within each subgraph, since node ids are scanned in
+// order): after the place pass off[si] is the end of subgraph si's window
+// and the start of si+1's.
+func (e *Evaluator) fillDirty(sc *evalScratch, p *partition.Partition) {
+	nsub, n := len(sc.costs), e.ctx.g.Len()
+	off := slices.Grow(sc.off[:0], nsub+1)[:nsub+1]
+	clear(off)
+	for id := 0; id < n; id++ {
+		if a := p.Of(id); a >= 0 && sc.costs[a] == nil {
+			off[a+1]++
+		}
+	}
+	for si := 0; si < nsub; si++ {
+		off[si+1] += off[si]
+	}
+	members := slices.Grow(sc.members[:0], off[nsub])[:off[nsub]]
+	for id := 0; id < n; id++ {
+		if a := p.Of(id); a >= 0 && sc.costs[a] == nil {
+			members[off[a]] = id
+			off[a]++
+		}
+	}
+	start := 0
+	for si, c := range sc.costs {
+		if c == nil {
+			c = e.lookupOrCompute(sc, members[start:off[si]])
+			sc.costs[si] = c
+			p.SetCostHandle(si, c)
+		}
+		start = off[si]
+	}
+	sc.off, sc.members = off, members
 }
 
 // partScratch is the pooled scratch of partitionEval's prefetch pass: the

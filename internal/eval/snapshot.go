@@ -138,7 +138,7 @@ func (e *Evaluator) LoadCache(snap *CacheSnapshot) (added int, err error) {
 			return added, fmt.Errorf("eval: cache snapshot entry %d: key window [%d:%d) invalid for %d-byte arena", i, r.Off, end, len(snap.Arena))
 		}
 		key := snap.Arena[r.Off:end]
-		members := partition.AppendKeyMembers(make([]int, 0, r.KeyLen/4), string(key))
+		members := partition.AppendKeyMembers(make([]int, 0, r.KeyLen/4), key)
 		for j, id := range members {
 			if id >= n || (j > 0 && id <= members[j-1]) {
 				return added, fmt.Errorf("eval: cache snapshot entry %d: member ids %v not ascending within graph of %d nodes", i, members, n)
@@ -153,12 +153,13 @@ func (e *Evaluator) LoadCache(snap *CacheSnapshot) (added int, err error) {
 			MACs:           r.MACs,
 			ComputeCycles:  r.ComputeCycles,
 			GLBAccessBytes: r.GLBAccessBytes,
+			cache:          e.cache,
 		}
 		h := hashKey(key)
 		s := &e.cache.shards[h>>(64-shardBits)]
 		s.mu.Lock()
-		if s.lookupBytes(h, key) == nil {
-			s.insertBytes(h, key, c)
+		if s.lookup(h, key) == nil {
+			s.insert(h, key, c)
 			added++
 		}
 		s.mu.Unlock()

@@ -4,12 +4,12 @@ package partition_test
 // evaluation layer leans on: every successful TryModifyNode/TrySplit/TryMerge
 // must yield a valid schedulable partition (precedence + connectivity +
 // acyclic quotient, all checked by Validate), keep the assignment vector a
-// proper partition of the compute nodes, and carry per-subgraph cache entries
-// (interned member keys, opaque cost handles) only when the member set is
-// unchanged — a stale carry is exactly the bug that would silently corrupt
+// proper partition of the compute nodes, and carry per-subgraph opaque cost
+// handles only when the member set is unchanged — a stale carry is exactly the bug that would silently corrupt
 // incremental evaluation.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"sort"
@@ -48,13 +48,10 @@ func checkInvariants(t *testing.T, g *graph.Graph, p *partition.Partition, op st
 			t.Fatalf("%s: subgraph id %d has no members", op, s)
 		}
 	}
-	// Cache integrity: the interned key and any carried handle must match a
-	// freshly computed canonical key of the subgraph's current member set.
+	// Cache integrity: any carried handle must match a freshly computed
+	// canonical key of the subgraph's current member set.
 	for s := 0; s < p.NumSubgraphs(); s++ {
-		fresh := partition.MemberKey(p.Members(s))
-		if got := p.SubgraphKey(s); got != fresh {
-			t.Fatalf("%s: subgraph %d carries stale interned key", op, s)
-		}
+		fresh := memberKey(p, s)
 		if h := p.CostHandle(s); h != nil {
 			if key, ok := h.(string); !ok || key != fresh {
 				t.Fatalf("%s: subgraph %d carries a stale cost handle", op, s)
@@ -63,12 +60,17 @@ func checkInvariants(t *testing.T, g *graph.Graph, p *partition.Partition, op st
 	}
 }
 
+// memberKey is the canonical member key of subgraph s as a string.
+func memberKey(p *partition.Partition, s int) string {
+	return string(partition.AppendMemberKey(nil, p.Members(s)))
+}
+
 // tagHandles stamps every subgraph's cost handle with its canonical member
 // key, standing in for the evaluator's *SubgraphCost (which likewise depends
 // only on the member set).
 func tagHandles(p *partition.Partition) {
 	for s := 0; s < p.NumSubgraphs(); s++ {
-		p.SetCostHandle(s, p.SubgraphKey(s))
+		p.SetCostHandle(s, memberKey(p, s))
 	}
 }
 
@@ -223,17 +225,19 @@ func FuzzOpsWorkspace(f *testing.F) {
 	})
 }
 
-// decodeMemberKey unpacks a canonical member key back into ids.
-func decodeMemberKey(key string) []int {
+// decodeMemberKey unpacks a canonical member key back into ids, independently
+// of the production decoder AppendKeyMembers.
+func decodeMemberKey(key []byte) []int {
 	ids := make([]int, 0, len(key)/4)
 	for i := 0; i+4 <= len(key); i += 4 {
-		ids = append(ids, int(binary.BigEndian.Uint32([]byte(key[i:i+4]))))
+		ids = append(ids, int(binary.BigEndian.Uint32(key[i:i+4])))
 	}
 	return ids
 }
 
-// FuzzMemberKey checks round-trip and collision-freedom of the canonical
-// member-key packing for arbitrary in-range id sets.
+// FuzzMemberKey checks round-trip (through both the reference decoder and
+// AppendKeyMembers) and collision-freedom of the canonical member-key packing
+// for arbitrary in-range id sets.
 func FuzzMemberKey(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 2})
@@ -251,17 +255,18 @@ func FuzzMemberKey(f *testing.F) {
 				uniq = append(uniq, id)
 			}
 		}
-		key := partition.MemberKey(uniq)
+		key := partition.AppendMemberKey(nil, uniq)
 		if len(key) != 4*len(uniq) {
 			t.Fatalf("key length %d for %d ids", len(key), len(uniq))
 		}
-		back := decodeMemberKey(key)
-		if len(back) != len(uniq) {
-			t.Fatalf("round-trip length %d != %d", len(back), len(uniq))
-		}
-		for i := range back {
-			if back[i] != uniq[i] {
-				t.Fatalf("round-trip mismatch at %d: %d != %d", i, back[i], uniq[i])
+		for _, back := range [][]int{decodeMemberKey(key), partition.AppendKeyMembers(nil, key)} {
+			if len(back) != len(uniq) {
+				t.Fatalf("round-trip length %d != %d", len(back), len(uniq))
+			}
+			for i := range back {
+				if back[i] != uniq[i] {
+					t.Fatalf("round-trip mismatch at %d: %d != %d", i, back[i], uniq[i])
+				}
 			}
 		}
 		// Injectivity: perturbing any id must change the key.
@@ -273,7 +278,7 @@ func FuzzMemberKey(f *testing.F) {
 				mut[0]--
 			}
 			sort.Ints(mut)
-			if partition.MemberKey(mut) == key {
+			if bytes.Equal(partition.AppendMemberKey(nil, mut), key) {
 				t.Fatalf("distinct member sets share key: %v vs %v", uniq, mut)
 			}
 		}
@@ -286,10 +291,10 @@ func TestMemberKeyGuard(t *testing.T) {
 	mustPanic := func(name string, ids []int) {
 		defer func() {
 			if recover() == nil {
-				t.Errorf("%s: MemberKey did not panic", name)
+				t.Errorf("%s: AppendMemberKey did not panic", name)
 			}
 		}()
-		partition.MemberKey(ids)
+		partition.AppendMemberKey(nil, ids)
 	}
 	mustPanic("negative id", []int{-1})
 	if strconv.IntSize == 64 {
@@ -297,41 +302,5 @@ func TestMemberKeyGuard(t *testing.T) {
 		// where the guard skips this case.
 		one := 1
 		mustPanic("id over 2^32", []int{one << 32})
-	}
-}
-
-// TestSubgraphKeyInterned verifies the interning contract of the delta
-// layer: after the first build, repeated key lookups are allocation-free,
-// and derived partitions inherit the interned keys of untouched subgraphs.
-func TestSubgraphKeyInterned(t *testing.T) {
-	g := testutil.RandomGraph(3, 24)
-	p := partition.Singletons(g)
-	for s := 0; s < p.NumSubgraphs(); s++ {
-		p.SubgraphKey(s)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		for s := 0; s < p.NumSubgraphs(); s++ {
-			p.SubgraphKey(s)
-		}
-	}); allocs != 0 {
-		t.Errorf("interned SubgraphKey allocates %.1f per run, want 0", allocs)
-	}
-	// Some singleton pairs are unschedulable to merge (a path through a
-	// third subgraph); take the first pair that works.
-	var q *partition.Partition
-	for a := 0; a+1 < p.NumSubgraphs() && q == nil; a++ {
-		if m, err := p.TryMerge(a, a+1); err == nil {
-			q = m
-		}
-	}
-	if q == nil {
-		t.Fatal("no mergeable singleton pair")
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		for s := 0; s < q.NumSubgraphs(); s++ {
-			q.SubgraphKey(s)
-		}
-	}); allocs != 0 {
-		t.Errorf("carried SubgraphKey allocates %.1f per run, want 0", allocs)
 	}
 }

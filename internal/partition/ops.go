@@ -239,41 +239,22 @@ func (o *Ops) MergeInto(dst, p *Partition, a, b int) (*Partition, error) {
 // split.
 func labelSpace(p *Partition) int { return p.count + 2*len(p.assign) + 2 }
 
-// carry copies the key/cost caches from parent p into q for every subgraph
-// whose member set is provably unchanged — the single-pass equivalent of the
+// carry copies the cost cache from parent p into q for every subgraph whose
+// member set is provably unchanged — the single-pass equivalent of the
 // historical carryFrom: untouched parent labels keep exactly their members,
 // so the new label is found through any member node. t1/t2 are the parent
 // labels the operator touched (pass the same label twice for one).
 func (o *Ops) carry(q, p *Partition, t1, t2 int) {
-	if p.keys == nil && p.costs == nil {
-		q.keys, q.costs = nil, nil
+	if p.costs == nil {
+		q.costs = nil
 		return
 	}
-	q.keys = growStrings(q.keys, q.count)
 	q.costs = growAnys(q.costs, q.count)
 	for id, a := range p.assign {
-		if a < 0 || a == t1 || a == t2 {
-			continue
-		}
-		n := q.assign[id]
-		if p.keys != nil {
-			q.keys[n] = p.keys[a]
-		}
-		if p.costs != nil {
-			q.costs[n] = p.costs[a]
+		if a >= 0 && a != t1 && a != t2 {
+			q.costs[q.assign[id]] = p.costs[a]
 		}
 	}
-}
-
-func growStrings(s []string, n int) []string {
-	if cap(s) < n {
-		return make([]string, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = ""
-	}
-	return s
 }
 
 func growAnys(s []any, n int) []any {

@@ -106,19 +106,19 @@ func opsChain(t *testing.T, n int) *graph.Graph {
 	return g
 }
 
-// cachedPartition returns a singleton partition with its per-subgraph key and
-// cost caches filled, so the pins cover the carry path too.
+// cachedPartition returns a singleton partition with its per-subgraph cost
+// cache filled, so the pins cover the carry path too.
 func cachedPartition(g *graph.Graph) *Partition {
 	p := Singletons(g)
 	for s := 0; s < p.count; s++ {
-		p.SetCostHandle(s, p.SubgraphKey(s))
+		p.SetCostHandle(s, string(AppendMemberKey(nil, p.Members(s))))
 	}
 	return p
 }
 
 // TestOpsIntoAllocFree pins the in-place operator contract: once the
 // workspace and destination are warm, ModifyNodeInto / SplitInto / MergeInto
-// perform zero allocations even when carrying key/cost caches.
+// perform zero allocations even when carrying the cost cache.
 func TestOpsIntoAllocFree(t *testing.T) {
 	g := opsChain(t, 16)
 	p := cachedPartition(g)

@@ -4,8 +4,8 @@ package partition
 // the retired map-based repair/normalize/carryFrom pipeline and the
 // Clone-then-repair Try* operators built on it. The equivalence tests drive
 // randomized operator sequences through both implementations and require
-// bit-identical outcomes — assignment vector, subgraph count, carried keys
-// and cost handles, and error/no-error agreement — so any behavioral drift in
+// bit-identical outcomes — assignment vector, subgraph count, carried cost
+// handles, and error/no-error agreement — so any behavioral drift in
 // the Ops rewrite shows up as a readable diff against known-good code rather
 // than as a silent search-trajectory change.
 
@@ -19,10 +19,9 @@ import (
 
 // oracleCarryFrom is the retired carryFrom.
 func oracleCarryFrom(q, p *Partition, touched ...int) {
-	if p.keys == nil && p.costs == nil {
+	if p.costs == nil {
 		return
 	}
-	q.keys = make([]string, q.count)
 	q.costs = make([]any, q.count)
 	for id, a := range p.assign {
 		if a < 0 {
@@ -38,13 +37,7 @@ func oracleCarryFrom(q, p *Partition, touched ...int) {
 		if skip {
 			continue
 		}
-		n := q.assign[id]
-		if p.keys != nil {
-			q.keys[n] = p.keys[a]
-		}
-		if p.costs != nil {
-			q.costs[n] = p.costs[a]
-		}
+		q.costs[q.assign[id]] = p.costs[a]
 	}
 }
 
@@ -255,7 +248,7 @@ func oracleTryMerge(p *Partition, a, b int) (*Partition, error) {
 }
 
 // requireSamePartition fails unless got and want agree on every observable:
-// assignment, count, interned keys, and cost handles.
+// assignment, count, and carried cost handles.
 func requireSamePartition(t *testing.T, step int, op string, got, want *Partition) {
 	t.Helper()
 	if got.count != want.count {
@@ -267,25 +260,22 @@ func requireSamePartition(t *testing.T, step int, op string, got, want *Partitio
 				step, op, id, got.assign[id], want.assign[id])
 		}
 	}
-	if (got.keys == nil) != (want.keys == nil) || (got.costs == nil) != (want.costs == nil) {
-		t.Fatalf("step %d %s: cache presence differs (keys %v/%v costs %v/%v)",
-			step, op, got.keys != nil, want.keys != nil, got.costs != nil, want.costs != nil)
+	if (got.costs == nil) != (want.costs == nil) {
+		t.Fatalf("step %d %s: cache presence differs (costs %v/%v)",
+			step, op, got.costs != nil, want.costs != nil)
 	}
 	for s := 0; s < want.count; s++ {
-		if want.keys != nil && got.keys[s] != want.keys[s] {
-			t.Fatalf("step %d %s: carried key of subgraph %d differs", step, op, s)
-		}
 		if want.costs != nil && got.costs[s] != want.costs[s] {
 			t.Fatalf("step %d %s: carried cost handle of subgraph %d differs", step, op, s)
 		}
 	}
 }
 
-// tagOracleHandles fills every subgraph's key and stamps its cost handle with
-// the canonical member key, standing in for the evaluator's *SubgraphCost.
+// tagOracleHandles stamps every subgraph's cost handle with its canonical
+// member key, standing in for the evaluator's *SubgraphCost.
 func tagOracleHandles(p *Partition) {
 	for s := 0; s < p.count; s++ {
-		p.SetCostHandle(s, p.SubgraphKey(s))
+		p.SetCostHandle(s, string(AppendMemberKey(nil, p.Members(s))))
 	}
 }
 
